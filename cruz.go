@@ -57,8 +57,8 @@ type (
 	RecoveryResult = core.RecoveryResult
 	// RecoveredPod describes where one failed pod was re-homed.
 	RecoveredPod = core.RecoveredPod
-	// MigrateOptions tunes one live migration (pre-copy rounds, dedup,
-	// pipelined saves).
+	// MigrateOptions tunes one live migration (pre-copy rounds and
+	// content-addressed rounds).
 	MigrateOptions = core.MigrateOptions
 	// MigrationResult reports one live migration: rounds, convergence
 	// curve, bytes streamed, and the freeze-to-resume downtime.

@@ -195,6 +195,7 @@ type wireMsg struct {
 	// live rounds — copy-on-write captures taken without stopping the
 	// pod — before the residual stop-and-copy at Seq. Rounds occupy the
 	// sequence numbers (Seq-PrecopyRounds, Seq); only Seq is committed.
+	// On migrate-target it names the migration's round block.
 	PrecopyRounds int
 	// PrecopyThresholdPages stops the rounds early once the live dirty
 	// set is at most this many pages (0 = no threshold).

@@ -438,3 +438,48 @@ func TestMigrationReusesReplicatedBase(t *testing.T) {
 			reused.BytesStreamed, control.BytesStreamed)
 	}
 }
+
+// TestMigrationAbortKeepsReplica: a durability replica of an older
+// checkpoint that lands on the destination while a migration is armed
+// there is not a migration round. Aborting the migration must leave it
+// in place, in agreement with the coordinator's holder registry.
+func TestMigrationAbortKeepsReplica(t *testing.T) {
+	cl, err := cruz.New(cruz.Config{Nodes: 4, Seed: 17, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, job := deployRingCfg(t, cl, migrateSlm(3))
+	cl.Run(300 * cruz.Millisecond)
+	ck, err := cl.Checkpoint(job, cruz.CheckpointOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// wb's ring peer, node 2, receives the replica of ck in the
+	// background — and is also the migration's destination.
+	fired := false
+	var merr error
+	cl.Coordinator.Migrate(job, "wb", cl.Nodes[2].Agent.Addr(), core.MigrateOptions{
+		Precopy: core.PrecopyConfig{MaxRounds: 6},
+	}, func(r *core.MigrationResult, err error) { merr, fired = err, true })
+	cl.Run(150 * cruz.Millisecond)
+	if fired {
+		t.Fatalf("migration finished before the abort could land: %v", merr)
+	}
+	if err := cl.Coordinator.AbortMigration(job.Name); err != nil {
+		t.Fatal(err)
+	}
+	if !cl.RunUntil(func() bool { return fired }, 5*cruz.Second) {
+		t.Fatal("abort did not complete the migration op")
+	}
+	if !errors.Is(merr, core.ErrAborted) {
+		t.Fatalf("migration error = %v, want ErrAborted", merr)
+	}
+	cl.Run(200 * cruz.Millisecond)
+	if n := cl.Coordinator.KnownHolders("wb", ck.Seq); n != 2 {
+		t.Fatalf("KnownHolders(wb, %d) = %d, want 2", ck.Seq, n)
+	}
+	if !cl.Nodes[2].Store.HasSeq("wb", ck.Seq) {
+		t.Fatalf("node 2 lost its replica of wb@%d to the migration abort", ck.Seq)
+	}
+	migrateOpenOps(t, cl, -1)
+}
