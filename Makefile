@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet race cruzvet bench gobench scale-smoke migrate-smoke ec-smoke trace-demo
+.PHONY: check build test vet race cruzvet bench gobench scale-smoke migrate-smoke ec-smoke perf-smoke loc trace-demo
 
 check: vet cruzvet build test race
 
@@ -74,6 +74,20 @@ migrate-smoke:
 ec-smoke:
 	$(GO) test -run 'TestErasureCodedRecovery|TestECFallbackToReplication' -v .
 	$(GO) run ./cmd/cruzsim -scenario failover -ec 4+2
+
+# Benchmark smoke: one-second runs of the svc and slm workloads of the
+# repository benchmark (cruzperf/, declared in BENCHMARK.json). cruzperf
+# exits 1 when two iterations of a seed disagree on any virtual-time
+# result (NONDETERMINISM) or an end-to-end metric has no samples
+# (MISSING).
+perf-smoke:
+	bash cruzperf/run.sh --workload svc --seconds 1
+	bash cruzperf/run.sh --workload slm --seconds 1
+
+# Non-test Go lines of the program: tracked .go files without tests,
+# testdata/ fixtures or the cruzperf/ benchmark. ROADMAP aim 2 tracks it.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '\(^\|/\)testdata/' | grep -v '^cruzperf/' | xargs cat | wc -l
 
 # Worked example from README: quickstart scenario with a Chrome trace.
 trace-demo:
