@@ -24,8 +24,8 @@ import (
 // a Vandermonde-derived systematic matrix: the m data shards of a stripe
 // ARE the chunks (content-addressed, dedup-shared like everything else),
 // and parity blocks enter the same chunk table under their own content
-// hash, so the existing offer/want/data delta protocol ships shards with
-// no new wire format for bulk data.
+// hash, so the durability exchange ships shards exactly as it ships a
+// full replica's chunks.
 
 // ErrECShards is returned when too few shards survive to reconstruct a
 // stripe (fewer than m of its m+r shards are available).
@@ -103,11 +103,23 @@ func (set *ECSet) Encode() ([]byte, error) {
 	return b, nil
 }
 
-// DecodeECSet parses an encoded shard manifest.
+// DecodeECSet parses an encoded shard manifest. A set arrives off the
+// wire, so its shape is checked before any shard index is computed from
+// it: valid params, and every stripe with 1..M data hashes and exactly R
+// parity hashes.
 func DecodeECSet(b []byte) (*ECSet, error) {
 	var set ECSet
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&set); err != nil {
 		return nil, fmt.Errorf("ckpt: decode EC set: %w", err)
+	}
+	if err := (ECParams{M: set.M, R: set.R}).Validate(); err != nil {
+		return nil, fmt.Errorf("ckpt: decode EC set: %w", err)
+	}
+	for i, st := range set.Stripes {
+		if len(st.Data) < 1 || len(st.Data) > set.M || len(st.Parity) != set.R {
+			return nil, fmt.Errorf("ckpt: decode EC set: stripe %d has %d data and %d parity hashes for %d+%d",
+				i, len(st.Data), len(st.Parity), set.M, set.R)
+		}
 	}
 	return &set, nil
 }
@@ -151,6 +163,12 @@ func (set *ECSet) HolderHashes(holder int) []mem.PageHash {
 		out = append(out, h)
 	}
 	return out
+}
+
+// HolderOffer describes ring position holder's share of the set for the
+// durability exchange: the chain plus the position's shard hashes.
+func (set *ECSet) HolderOffer(holder int) *Offer {
+	return &Offer{Pod: set.Pod, Seq: set.Seq, Chain: set.Chain, Dedup: true, Hashes: set.HolderHashes(holder)}
 }
 
 // DataBytes is the logical chunk payload the set protects.
@@ -585,108 +603,58 @@ func (s *Store) releaseChunk(h mem.PageHash) {
 	}
 }
 
-// ECHeld records a holder's side of one erasure-coded checkpoint: the
-// shard manifest, this node's ring position (which shard of each stripe
-// it stores), and the raw chain manifests so recovery metadata survives
-// the primary.
-type ECHeld struct {
-	Set       *ECSet
-	Holder    int
-	Manifests map[int][]byte
+// heldShards records a holder's side of one erasure-coded checkpoint:
+// the shard manifest, this node's ring position (which shard of each
+// stripe it stores), and the raw chain manifests so recovery metadata
+// survives the primary.
+type heldShards struct {
+	set       *ECSet
+	holder    int
+	manifests map[int][]byte
 }
 
-// ECMissingFor answers a shard offer with the chain manifests and shard
-// blocks this store lacks — the EC analogue of MissingFor, consulting
-// held raw manifests as well as decoded ones so re-offers of an
-// unchanged chain cost nothing.
-func (s *Store) ECMissingFor(o *Offer) (needSeqs []int, needHashes []mem.PageHash) {
-	for _, cs := range o.Chain {
-		if _, ok := s.ecManifests[o.Pod][cs]; ok {
-			continue
-		}
-		if _, ok := s.manifests[o.Pod][cs]; ok {
-			continue
-		}
-		needSeqs = append(needSeqs, cs)
-	}
-	for _, h := range o.Hashes {
-		if _, ok := s.chunks[h]; !ok {
-			needHashes = append(needHashes, h)
-		}
-	}
-	return needSeqs, needHashes
-}
-
-// AdoptECShards installs a holder's shard delta: the shard manifest,
-// this node's ring position, the chain manifests it was missing (kept as
-// raw blobs — a holder stores metadata it cannot fully resolve), and the
-// missing shard blocks. Every block the held set covers takes a chunk
+// holdShards installs a shard transfer: the chain manifests it was
+// missing are kept as raw blobs (a holder stores metadata it cannot fully
+// resolve), and every block of the holder's subset takes a chunk
 // reference so the holder's own GC cannot free it. An older held set for
-// the same pod is superseded. done fires once the adopted bytes land on
-// disk.
-func (s *Store) AdoptECShards(set *ECSet, holder int, manifests map[int][]byte, chunks []ChunkData, ctx trace.SpanContext, done func(int64, error)) {
-	var total int64
-	for _, cd := range chunks {
-		if _, ok := s.chunks[cd.Hash]; !ok {
-			s.chunks[cd.Hash] = &chunkEntry{data: cd.Data}
-			s.stats.NewChunks++
-			s.stats.NewChunkBytes += int64(len(cd.Data))
-		}
-		total += int64(len(cd.Data))
-	}
-	want := set.HolderHashes(holder)
-	for _, h := range want {
+// the same pod is superseded.
+func (s *Store) holdShards(t *Transfer) error {
+	set := t.Set
+	for _, h := range set.HolderHashes(t.Holder) {
 		e, ok := s.chunks[h]
 		if !ok {
-			done(0, fmt.Errorf("ckpt: adopt EC %s/%d: missing shard block %v", set.Pod, set.Seq, h))
-			return
+			return fmt.Errorf("ckpt: adopt EC %s/%d: missing shard block %v", set.Pod, set.Seq, h)
 		}
 		e.refs++
 	}
 	if s.ecManifests[set.Pod] == nil {
 		s.ecManifests[set.Pod] = make(map[int][]byte)
 	}
-	for seq, blob := range manifests {
+	for seq, blob := range t.Manifests {
 		s.ecManifests[set.Pod][seq] = blob
-		total += int64(len(blob))
 	}
-	if old, ok := s.ecHeld[set.Pod]; ok {
-		for oseq := range old {
-			if oseq < set.Seq {
-				s.dropECHeld(set.Pod, oseq)
-			}
+	for oseq := range s.ecHeld[set.Pod] {
+		if oseq < set.Seq {
+			s.dropECHeld(set.Pod, oseq)
 		}
 	}
 	if s.ecHeld[set.Pod] == nil {
-		s.ecHeld[set.Pod] = make(map[int]*ECHeld)
+		s.ecHeld[set.Pod] = make(map[int]*heldShards)
 	}
-	held := &ECHeld{Set: set, Holder: holder, Manifests: make(map[int][]byte)}
+	held := &heldShards{set: set, holder: t.Holder, manifests: make(map[int][]byte)}
 	for _, cs := range set.Chain {
 		if blob, ok := s.ecManifests[set.Pod][cs]; ok {
-			held.Manifests[cs] = blob
+			held.manifests[cs] = blob
 		} else if m, ok := s.manifests[set.Pod][cs]; ok {
-			// The chain manifest arrived earlier through ordinary
-			// replication; serve reconstructs from the decoded form.
+			// The chain manifest arrived earlier with a full image; a
+			// pull serves it in encoded form.
 			if blob, err := m.Encode(); err == nil {
-				held.Manifests[cs] = blob
+				held.manifests[cs] = blob
 			}
 		}
 	}
 	s.ecHeld[set.Pod][set.Seq] = held
-	if total <= 0 {
-		done(0, nil)
-		return
-	}
-	var sp trace.Span
-	if tr := trace.FromEngine(s.disk.Engine()); tr.Enabled() {
-		sp = tr.BeginChild(ctx, s.disk.Name(), "ckpt", "store.adopt_ec",
-			trace.Str("pod", set.Pod), trace.Int("seq", int64(set.Seq)),
-			trace.Int("holder", int64(holder)), trace.Int("bytes", total))
-	}
-	s.disk.Write(total, func() {
-		sp.End()
-		done(total, nil)
-	})
+	return nil
 }
 
 func (s *Store) dropECHeld(pod string, seq int) {
@@ -694,46 +662,13 @@ func (s *Store) dropECHeld(pod string, seq int) {
 	if !ok {
 		return
 	}
-	for _, h := range held.Set.HolderHashes(held.Holder) {
+	for _, h := range held.set.HolderHashes(held.holder) {
 		s.releaseChunk(h)
 	}
 	delete(s.ecHeld[pod], seq)
 	if len(s.ecHeld[pod]) == 0 {
 		delete(s.ecHeld, pod)
 	}
-}
-
-// ECHeldFor returns this node's held shard set for (pod, seq).
-func (s *Store) ECHeldFor(pod string, seq int) (*ECHeld, bool) {
-	held, ok := s.ecHeld[pod][seq]
-	return held, ok
-}
-
-// ECHeldSeq returns the newest seq this node holds shards for.
-func (s *Store) ECHeldSeq(pod string) (int, bool) {
-	best, found := 0, false
-	for seq := range s.ecHeld[pod] {
-		if !found || seq > best {
-			best, found = seq, true
-		}
-	}
-	return best, found
-}
-
-// ECServe assembles this holder's contribution to a reconstruction: the
-// shard manifest, the chain manifests, and every shard block it holds.
-func (s *Store) ECServe(pod string, seq int) (*ECSet, map[int][]byte, []ChunkData, error) {
-	held, ok := s.ecHeld[pod][seq]
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("%w: %s/%d (no held shards)", ErrNoImage, pod, seq)
-	}
-	var blocks []ChunkData
-	for _, h := range held.Set.HolderHashes(held.Holder) {
-		if e, ok := s.chunks[h]; ok {
-			blocks = append(blocks, ChunkData{Hash: h, Data: e.data})
-		}
-	}
-	return held.Set, held.Manifests, blocks, nil
 }
 
 // ECRecovery summarizes a reconstruction: how many chunks had to be
@@ -876,28 +811,8 @@ func (s *Store) ReconstructEC(set *ECSet, manifests map[int][]byte, blocks []Chu
 		if !ok {
 			return nil, fmt.Errorf("ckpt: reconstruct %s/%d: missing chain manifest %d", set.Pod, set.Seq, seq)
 		}
-		m, err := DecodeManifest(blob)
-		if err != nil {
+		if err := s.installManifest(set.Pod, seq, blob); err != nil {
 			return nil, err
-		}
-		for i := range m.Procs {
-			for _, ref := range m.Procs[i].Pages {
-				e, ok := s.chunks[ref.Hash]
-				if !ok {
-					return nil, fmt.Errorf("ckpt: reconstruct %s/%d: missing chunk %v", set.Pod, seq, ref.Hash)
-				}
-				e.refs++
-				s.stats.DupChunks++
-			}
-		}
-		if s.manifests[set.Pod] == nil {
-			s.manifests[set.Pod] = make(map[int]*Manifest)
-			s.manifestBytes[set.Pod] = make(map[int]int64)
-		}
-		s.manifests[set.Pod][seq] = m
-		s.manifestBytes[set.Pod][seq] = int64(len(blob))
-		if seq > s.latest[set.Pod] {
-			s.latest[set.Pod] = seq
 		}
 		rec.TotalBytes += int64(len(blob))
 	}

@@ -8,23 +8,27 @@ import (
 	"cruz/internal/trace"
 )
 
-// Replication support: a store can describe one of its checkpoints as an
+// Durability support: a store can describe one of its checkpoints as an
 // Offer, a peer store answers with what it is missing, and the resulting
 // Transfer carries only those bytes — the manifest(s) plus chunks the
-// replica has never seen, mirroring PlanDedupSave's accounting — so
+// peer has never seen, mirroring PlanDedupSave's accounting — so
 // steady-state replication of a deduplicated checkpoint chain costs
-// little more than the manifest.
+// little more than the manifest. An erasure-coded shard holder takes part
+// in the same exchange: its offer lists one ring position's shard hashes
+// (ECSet.HolderOffer) and its transfer carries the shard set, so a full
+// replica is simply the holder of every position.
 
 // Offer describes one stored checkpoint (and its incremental chain) for
 // replication, without any bulk data.
 type Offer struct {
-	Pod   string
-	Seq   int
+	Pod string
+	Seq int
 	// Chain lists the sequence numbers a restore of Seq needs,
 	// newest-first (length 1 for a full checkpoint).
 	Chain []int
 	// Dedup marks the manifest/chunk form; Hashes then lists every
-	// distinct page hash the chain references, in deterministic order.
+	// distinct page hash the chain references (or, for a shard holder,
+	// the hashes of its shard subset), in deterministic order.
 	Dedup  bool
 	Hashes []mem.PageHash
 }
@@ -35,20 +39,25 @@ type ChunkData struct {
 	Data []byte
 }
 
-// Transfer is the delta a replica asked for: encoded images (blob form)
-// or encoded manifests plus missing chunks (dedup form).
+// Transfer is the delta a peer asked for: encoded images (blob form) or
+// encoded manifests plus missing chunks (dedup form).
 type Transfer struct {
 	Pod       string
 	Seq       int
 	Blobs     map[int][]byte
 	Manifests map[int][]byte
 	Chunks    []ChunkData
-	// TotalBytes is what the replica's disk will write on adoption.
+	// TotalBytes is what the receiving disk will write on adoption.
 	TotalBytes int64
-	// Ctx is the trace context of the replication exchange this transfer
-	// belongs to; Adopt parents its disk-write span under it. The store is
+	// Ctx is the trace context of the exchange this transfer belongs to;
+	// Adopt parents its disk-write span under it. The store is
 	// wire-agnostic — the core layer sets this from the carrying message.
 	Ctx trace.SpanContext
+	// Set, when non-nil, makes this a shard holder's transfer: Chunks are
+	// the shard blocks of ring position Holder in the erasure-coded set,
+	// and Manifests the chain manifests, kept raw by the holder.
+	Set    *ECSet
+	Holder int
 }
 
 // HasSeq reports whether the store holds a usable checkpoint at seq —
@@ -108,11 +117,16 @@ func (s *Store) ExportOffer(pod string, seq int) (*Offer, error) {
 }
 
 // MissingFor answers an offer with the chain sequences and chunk hashes
-// this store lacks — the delta the sender must ship.
+// this store lacks — the delta the sender must ship. A chain manifest
+// held raw for a shard set counts as present: a shard holder needs no
+// more, and Adopt decodes it if a full image later builds on it.
 func (s *Store) MissingFor(o *Offer) (needSeqs []int, needHashes []mem.PageHash) {
 	for _, cs := range o.Chain {
 		if o.Dedup {
 			if _, ok := s.manifests[o.Pod][cs]; ok {
+				continue
+			}
+			if _, ok := s.ecManifests[o.Pod][cs]; ok {
 				continue
 			}
 		} else if _, ok := s.blobs[o.Pod][cs]; ok {
@@ -165,11 +179,40 @@ func (s *Store) BuildTransfer(pod string, seq int, needSeqs []int, needHashes []
 	return t, nil
 }
 
-// Adopt installs a received transfer into this store — the replica's
-// half of replication — charging the bytes to the local disk. done fires
-// with the bytes written once the write lands.
+// Serve assembles this store's answer to a recovery pull for (pod, seq):
+// the whole chain when it holds the image, else the shard subset it
+// holds, with the set and its ring position.
+func (s *Store) Serve(pod string, seq int) (*Transfer, error) {
+	if s.HasSeq(pod, seq) {
+		o, err := s.ExportOffer(pod, seq)
+		if err != nil {
+			return nil, err
+		}
+		return s.BuildTransfer(pod, seq, o.Chain, o.Hashes)
+	}
+	held, ok := s.ecHeld[pod][seq]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s/%d", ErrNoImage, pod, seq)
+	}
+	t := &Transfer{Pod: pod, Seq: seq, Manifests: held.manifests, Set: held.set, Holder: held.holder}
+	for _, h := range held.set.HolderHashes(held.holder) {
+		if e, ok := s.chunks[h]; ok {
+			t.Chunks = append(t.Chunks, ChunkData{Hash: h, Data: e.data})
+			t.TotalBytes += int64(len(e.data))
+		}
+	}
+	for _, blob := range held.manifests {
+		t.TotalBytes += int64(len(blob))
+	}
+	return t, nil
+}
+
+// Adopt installs a received transfer into this store, charging its bytes
+// to the local disk: a full image becomes restorable here, a shard
+// transfer is held for a later reconstruction. done fires with the bytes
+// written once the write lands.
 func (s *Store) Adopt(t *Transfer, done func(int64, error)) {
-	// Chunks first so adopted manifests can take references.
+	// Chunks first so adopted manifests and shard sets can take references.
 	for _, cd := range t.Chunks {
 		if _, ok := s.chunks[cd.Hash]; !ok {
 			s.chunks[cd.Hash] = &chunkEntry{data: cd.Data}
@@ -177,50 +220,13 @@ func (s *Store) Adopt(t *Transfer, done func(int64, error)) {
 			s.stats.NewChunkBytes += int64(len(cd.Data))
 		}
 	}
-	for _, seq := range sortedSeqs(t.Blobs) {
-		blob := t.Blobs[seq]
-		img, err := DecodeImage(blob)
-		if err != nil {
-			done(0, err)
-			return
-		}
-		if s.blobs[t.Pod] == nil {
-			s.blobs[t.Pod] = make(map[int][]byte)
-			s.images[t.Pod] = make(map[int]*Image)
-		}
-		s.blobs[t.Pod][seq] = blob
-		s.images[t.Pod][seq] = img
-		if seq > s.latest[t.Pod] {
-			s.latest[t.Pod] = seq
-		}
+	install := s.installImage
+	if t.Set != nil {
+		install = s.holdShards
 	}
-	for _, seq := range sortedSeqs(t.Manifests) {
-		mblob := t.Manifests[seq]
-		m, err := DecodeManifest(mblob)
-		if err != nil {
-			done(0, err)
-			return
-		}
-		for i := range m.Procs {
-			for _, ref := range m.Procs[i].Pages {
-				e, ok := s.chunks[ref.Hash]
-				if !ok {
-					done(0, fmt.Errorf("ckpt: adopt %s/%d: missing chunk %v", t.Pod, seq, ref.Hash))
-					return
-				}
-				e.refs++
-				s.stats.DupChunks++
-			}
-		}
-		if s.manifests[t.Pod] == nil {
-			s.manifests[t.Pod] = make(map[int]*Manifest)
-			s.manifestBytes[t.Pod] = make(map[int]int64)
-		}
-		s.manifests[t.Pod][seq] = m
-		s.manifestBytes[t.Pod][seq] = int64(len(mblob))
-		if seq > s.latest[t.Pod] {
-			s.latest[t.Pod] = seq
-		}
+	if err := install(t); err != nil {
+		done(0, err)
+		return
 	}
 	if t.TotalBytes <= 0 {
 		done(0, nil)
@@ -236,6 +242,79 @@ func (s *Store) Adopt(t *Transfer, done func(int64, error)) {
 		sp.End()
 		done(t.TotalBytes, nil)
 	})
+}
+
+// installImage registers a full transfer's images and manifests, then
+// decodes any chain link the offer skipped because this store held it
+// raw as a shard holder — every chunk it references has arrived by now.
+func (s *Store) installImage(t *Transfer) error {
+	for _, seq := range sortedSeqs(t.Blobs) {
+		blob := t.Blobs[seq]
+		img, err := DecodeImage(blob)
+		if err != nil {
+			return err
+		}
+		if s.blobs[t.Pod] == nil {
+			s.blobs[t.Pod] = make(map[int][]byte)
+			s.images[t.Pod] = make(map[int]*Image)
+		}
+		s.blobs[t.Pod][seq] = blob
+		s.images[t.Pod][seq] = img
+		if seq > s.latest[t.Pod] {
+			s.latest[t.Pod] = seq
+		}
+	}
+	for _, seq := range sortedSeqs(t.Manifests) {
+		if err := s.installManifest(t.Pod, seq, t.Manifests[seq]); err != nil {
+			return err
+		}
+	}
+	for seq := t.Seq; ; {
+		m, ok := s.manifests[t.Pod][seq]
+		if !ok {
+			blob, raw := s.ecManifests[t.Pod][seq]
+			if !raw {
+				return nil
+			}
+			if err := s.installManifest(t.Pod, seq, blob); err != nil {
+				return err
+			}
+			m = s.manifests[t.Pod][seq]
+		}
+		if !m.Incremental {
+			return nil
+		}
+		seq = m.BaseSeq
+	}
+}
+
+// installManifest decodes one chain manifest and registers it, taking a
+// reference on every chunk it names.
+func (s *Store) installManifest(pod string, seq int, blob []byte) error {
+	m, err := DecodeManifest(blob)
+	if err != nil {
+		return err
+	}
+	for i := range m.Procs {
+		for _, ref := range m.Procs[i].Pages {
+			e, ok := s.chunks[ref.Hash]
+			if !ok {
+				return fmt.Errorf("ckpt: install %s/%d: missing chunk %v", pod, seq, ref.Hash)
+			}
+			e.refs++
+			s.stats.DupChunks++
+		}
+	}
+	if s.manifests[pod] == nil {
+		s.manifests[pod] = make(map[int]*Manifest)
+		s.manifestBytes[pod] = make(map[int]int64)
+	}
+	s.manifests[pod][seq] = m
+	s.manifestBytes[pod][seq] = int64(len(blob))
+	if seq > s.latest[pod] {
+		s.latest[pod] = seq
+	}
+	return nil
 }
 
 func sortedSeqs(m map[int][]byte) []int {

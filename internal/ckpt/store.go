@@ -41,7 +41,7 @@ type Store struct {
 	// hold chunk references at stripe granularity, so a chunk stays
 	// resident while any stripe parity covering it is live.
 	ecsets      map[string]map[int]*ECSet
-	ecHeld      map[string]map[int]*ECHeld
+	ecHeld      map[string]map[int]*heldShards
 	ecManifests map[string]map[int][]byte
 }
 
@@ -61,7 +61,7 @@ func NewStore(disk *kernel.Disk) *Store {
 		manifestBytes: make(map[string]map[int]int64),
 		chunks:        make(map[mem.PageHash]*chunkEntry),
 		ecsets:        make(map[string]map[int]*ECSet),
-		ecHeld:        make(map[string]map[int]*ECHeld),
+		ecHeld:        make(map[string]map[int]*heldShards),
 		ecManifests:   make(map[string]map[int][]byte),
 	}
 }

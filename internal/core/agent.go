@@ -115,9 +115,6 @@ type Agent struct {
 	// control connections.
 	peers     []tcpip.AddrPort
 	peerConns map[tcpip.AddrPort]*ctlConn
-	// coordConn is the connection the latest coordinated op arrived on —
-	// where replication placement reports go.
-	coordConn msgSink
 
 	// Stats counts agent activity.
 	Stats AgentStats
@@ -302,32 +299,18 @@ func (a *Agent) onMsg(c *ctlConn, m *wireMsg) {
 			a.handleAbort(m)
 		case msgPing:
 			c.send(&wireMsg{Type: msgPong, Seq: m.Seq, Load: a.liveLoad()})
-		case msgReplOffer:
-			a.handleReplOffer(c, m)
-		case msgReplWant:
-			a.handleReplWant(c, m)
-		case msgReplData:
-			a.handleReplData(c, m)
-		case msgReplDone:
-			a.handleReplDone(c, m)
+		case msgOffer:
+			a.handleOffer(c, m)
+		case msgWant:
+			a.handleWant(c, m)
+		case msgData:
+			a.handleData(c, m)
+		case msgAdopted:
+			a.handleAdopted(c, m)
 		case msgFetch:
 			a.handleFetch(c, m)
-		case msgFetchPull:
-			a.handleFetchPull(c, m)
-		case msgECOffer:
-			a.handleECOffer(c, m)
-		case msgECWant:
-			a.handleECWant(c, m)
-		case msgECData:
-			a.handleECData(c, m)
-		case msgECDone:
-			a.handleECDone(c, m)
-		case msgECFetch:
-			a.handleECFetch(c, m)
-		case msgECPull:
-			a.handleECPull(c, m)
-		case msgECShards:
-			a.handleECShards(c, m)
+		case msgPull:
+			a.handlePull(c, m)
 		case msgMigrate:
 			a.startMigrateOut(c, m)
 		case msgMigrateBase:
@@ -346,7 +329,7 @@ func (a *Agent) onMsg(c *ctlConn, m *wireMsg) {
 			a.handleGroupContinue(m)
 		case msgGroupAbort:
 			a.handleGroupAbort(m)
-		case msgCommDisabled, msgDone, msgRestartDone, msgContinueDone, msgReplicated:
+		case msgCommDisabled, msgDone, msgRestartDone, msgContinueDone, msgHolding:
 			// Protocol replies arriving at an agent are group members
 			// reporting to their leader (this node) — aggregate them.
 			a.relayMemberMsg(m)
@@ -536,7 +519,6 @@ func (a *Agent) startRestart(c msgSink, m *wireMsg) {
 		a.fail(c, msgRestartDone, m, err)
 		return
 	}
-	a.coordConn = c
 	op.saveDone = true
 	a.Stats.Restores++
 	if a.tr.Enabled() {

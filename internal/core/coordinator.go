@@ -211,21 +211,9 @@ type Coordinator struct {
 	nodeByAddr map[tcpip.AddrPort]*nodeInfo
 	watches    []*watch
 	ticker     *sim.Ticker
-	// holders records which agents hold each committed (pod, seq) image —
-	// fed by commits, <replicated> reports, and completed fetches.
-	holders map[string]map[int]map[tcpip.AddrPort]bool
-	// ecHolders records which agents hold each erasure-coded shard set's
-	// subsets, by ring position — fed by <ec-holding> reports. Recovery
-	// consults it when no full image survives: any M live positions
-	// reconstruct.
-	ecHolders map[string]map[int]*ecSetHolders
-}
-
-// ecSetHolders is the shard registry for one erasure-coded (pod, seq):
-// the data-shard count M and each ring position's holder.
-type ecSetHolders struct {
-	m     int
-	byPos map[int]tcpip.AddrPort
+	// holders records who holds each committed (pod, seq) image — fed by
+	// commits, <holding> reports, completed fetches and migrations.
+	holders map[string]map[int]*holderSet
 }
 
 // coordOp is one coordinated checkpoint or restart: the lifecycle lives
@@ -263,8 +251,7 @@ func NewCoordinator(stack *tcpip.Stack, params CoordinatorParams) *Coordinator {
 		committed:  make(map[string]int),
 		nextSeq:    make(map[string]int),
 		nodeByAddr: make(map[tcpip.AddrPort]*nodeInfo),
-		holders:    make(map[string]map[int]map[tcpip.AddrPort]bool),
-		ecHolders:  make(map[string]map[int]*ecSetHolders),
+		holders:    make(map[string]map[int]*holderSet),
 	}
 }
 
@@ -676,11 +663,8 @@ func (c *Coordinator) onMsg(cc *ctlConn, m *wireMsg) {
 		case msgPong:
 			c.handlePong(cc, m)
 			return
-		case msgReplicated:
-			c.handleReplicated(m)
-			return
-		case msgECHolding:
-			c.handleECHolding(m)
+		case msgHolding:
+			c.handleHolding(m)
 			return
 		case msgFetchDone:
 			c.handleFetchDone(m)

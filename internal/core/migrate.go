@@ -175,7 +175,7 @@ func (c *Coordinator) Migrate(job *Job, pod string, target tcpip.AddrPort, opts 
 		// every later coordinated op addresses it there, and record the
 		// target as holder of the migrated image chain.
 		job.Members[idx].Agent = target
-		c.addHolder(pod, seq, target)
+		c.addHolder(pod, seq, target, allPositions)
 		rounds := len(op.roundPages) - 1
 		if rounds < 0 {
 			rounds = 0

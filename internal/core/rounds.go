@@ -63,7 +63,6 @@ func (a *Agent) beginRoundOp(kind string, c msgSink, m *wireMsg, sink *roundSink
 		return nil, nil
 	}
 	op.sink = sink
-	a.coordConn = c
 	return pod, op
 }
 
@@ -369,7 +368,7 @@ func (a *Agent) deliver(c msgSink, m *wireMsg, op *agentOp, seq int, next func()
 		a.failRound(c, m, op, err)
 		return
 	}
-	ro := a.replicateOn(cc, m.Pod, seq, op.migrateTo, nil, op.span.Context(), ctl.TierStream, func(n int64, rerr error) {
+	ro := a.push(cc, m.Pod, seq, op.span.Context(), &durOp{peer: op.migrateTo, tier: ctl.TierStream, onDone: func(n int64, rerr error) {
 		op.stream = nil
 		if op.Aborted() {
 			return
@@ -380,7 +379,7 @@ func (a *Agent) deliver(c msgSink, m *wireMsg, op *agentOp, seq int, next func()
 		}
 		op.streamed += n
 		next()
-	})
+	}})
 	if ro != nil && ro.Active() {
 		op.stream = ro
 	}
