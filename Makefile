@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet race cruzvet bench gobench scale-smoke migrate-smoke ec-smoke perf-smoke loc trace-demo
+.PHONY: check build test vet race cruzvet bench gobench scale-smoke migrate-smoke ec-smoke fuzz-smoke perf-smoke loc trace-demo
 
 check: vet cruzvet build test race
 
@@ -75,14 +75,22 @@ ec-smoke:
 	$(GO) test -run 'TestErasureCodedRecovery|TestECFallbackToReplication' -v .
 	$(GO) run ./cmd/cruzsim -scenario failover -ec 4+2
 
-# Benchmark smoke: one-second runs of the svc and slm workloads of the
-# repository benchmark (cruzperf/, declared in BENCHMARK.json). cruzperf
-# exits 1 when two iterations of a seed disagree on any virtual-time
-# result (NONDETERMINISM) or an end-to-end metric has no samples
-# (MISSING).
+# Fuzz smoke: ten seconds of native fuzzing on the shard-set decoder,
+# which parses sets straight off the wire: every input must be rejected
+# or yield a set whose ring positions all resolve without a panic.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeECSet -fuzztime=10s ./internal/ckpt
+
+# Benchmark smoke: one-second runs of the svc, slm and failover workloads
+# of the repository benchmark (cruzperf/, declared in BENCHMARK.json);
+# failover runs the erasure-coded distribute and reconstruct path.
+# cruzperf exits 1 when two iterations of a seed disagree on any
+# virtual-time result (NONDETERMINISM) or an end-to-end metric has no
+# samples (MISSING).
 perf-smoke:
 	bash cruzperf/run.sh --workload svc --seconds 1
 	bash cruzperf/run.sh --workload slm --seconds 1
+	bash cruzperf/run.sh --workload failover --seconds 1
 
 # Non-test Go lines of the program: tracked .go files without tests,
 # testdata/ fixtures or the cruzperf/ benchmark. ROADMAP aim 2 tracks it.

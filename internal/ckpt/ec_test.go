@@ -362,3 +362,140 @@ func TestECSupersedeAndDiscard(t *testing.T) {
 		t.Fatal("Discard left the EC set registered")
 	}
 }
+
+// exchange drives one offer/missing/transfer/adopt round between stores:
+// a full image when set is nil, else ring position holder's shard subset.
+func exchange(t *testing.T, r *rig, src, dst *Store, pod string, seq int, set *ECSet, holder int) *Transfer {
+	t.Helper()
+	offer, err := src.ExportOffer(pod, seq)
+	if set != nil {
+		offer = set.HolderOffer(holder)
+	}
+	if err != nil {
+		t.Fatalf("ExportOffer: %v", err)
+	}
+	needSeqs, needHashes := dst.MissingFor(offer)
+	tx, err := src.BuildTransfer(pod, seq, needSeqs, needHashes)
+	if err != nil {
+		t.Fatalf("BuildTransfer: %v", err)
+	}
+	tx.Set, tx.Holder = set, holder
+	done := false
+	dst.Adopt(tx, func(_ int64, aerr error) {
+		if aerr != nil {
+			t.Errorf("Adopt: %v", aerr)
+		}
+		done = true
+	})
+	r.run(10 * sim.Second)
+	if !done {
+		t.Fatal("adopt never completed")
+	}
+	return tx
+}
+
+// TestShardHolderExchange: a shard holder joins through the same
+// exchange as a replica, serves its subset to a pull, and can later take
+// a full image whose chain runs through a manifest it held only raw.
+func TestShardHolderExchange(t *testing.T) {
+	r := newRig(t, 2)
+	pod, _ := zap.New(r.kernels[0], "sh", zap.NetConfig{IP: podIP(0), MAC: podMAC(0)})
+	pod.Spawn("w", &memWorker{HeapSize: 48 * mem.PageSize})
+	r.run(30 * sim.Millisecond)
+	ecCaptureChain(t, r, pod)
+	pod.Destroy()
+	plan, err := r.store.PlanECSave("sh", 1, ECParams{M: 2, R: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	holder := NewStore(r.kernels[1].Disk())
+	tx := exchange(t, r, r.store, holder, "sh", 1, plan.Set, 1)
+	if len(tx.Manifests) != 1 || holder.HasSeq("sh", 1) {
+		t.Fatalf("shard transfer: %d manifests, holder restorable=%v", len(tx.Manifests), holder.HasSeq("sh", 1))
+	}
+	served, err := holder.Serve("sh", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served.Set == nil || served.Holder != 1 || len(served.Chunks) != len(plan.Set.HolderHashes(1)) {
+		t.Fatalf("served %d blocks at position %d, want the %d of position 1",
+			len(served.Chunks), served.Holder, len(plan.Set.HolderHashes(1)))
+	}
+
+	// The full image of seq 2 chains on seq 1, which the holder keeps
+	// raw: only manifest 2 travels, and adoption decodes manifest 1.
+	full := exchange(t, r, r.store, holder, "sh", 2, nil, 0)
+	if len(full.Manifests) != 1 || full.Manifests[2] == nil {
+		t.Fatalf("full transfer shipped manifests %v, want only seq 2", sortedSeqs(full.Manifests))
+	}
+	if !holder.HasSeq("sh", 2) {
+		t.Fatal("holder cannot restore the full image it adopted")
+	}
+	if served, err = holder.Serve("sh", 2); err != nil || served.Set != nil {
+		t.Fatalf("Serve of a held image: set=%v err=%v", served != nil && served.Set != nil, err)
+	}
+}
+
+// ecSetBlob encodes a hand-built set: stripes of the given data and
+// parity widths over arbitrary content hashes.
+func ecSetBlob(t testing.TB, m, r int, widths ...[2]int) []byte {
+	t.Helper()
+	set := &ECSet{Pod: "p", Seq: 1, M: m, R: r, Chain: []int{1}}
+	n := byte(0)
+	hash := func() mem.PageHash {
+		n++
+		return mem.HashBlock([]byte{n})
+	}
+	for _, w := range widths {
+		var st ECStripe
+		for i := 0; i < w[0]; i++ {
+			st.Data = append(st.Data, hash())
+		}
+		for i := 0; i < w[1]; i++ {
+			st.Parity = append(st.Parity, hash())
+		}
+		set.Stripes = append(set.Stripes, st)
+	}
+	b, err := set.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestDecodeECSetRejectsMalformed: sets that decode as gob but would
+// make HolderHashes divide by zero or index past a stripe are rejected.
+func TestDecodeECSetRejectsMalformed(t *testing.T) {
+	if _, err := DecodeECSet(ecSetBlob(t, 2, 1, [2]int{2, 1}, [2]int{1, 1})); err != nil {
+		t.Fatalf("well-formed set rejected: %v", err)
+	}
+	for name, b := range map[string][]byte{
+		"zero params":    ecSetBlob(t, 0, 0, [2]int{1, 0}),
+		"short parity":   ecSetBlob(t, 2, 2, [2]int{2, 1}),
+		"no data":        ecSetBlob(t, 2, 1, [2]int{0, 1}),
+		"too much data":  ecSetBlob(t, 2, 1, [2]int{3, 1}),
+		"too many parts": ecSetBlob(t, 200, 100, [2]int{1, 100}),
+	} {
+		if _, err := DecodeECSet(b); err == nil {
+			t.Errorf("%s: DecodeECSet accepted a malformed set", name)
+		}
+	}
+}
+
+// FuzzDecodeECSet: whatever arrives off the wire, DecodeECSet either
+// rejects it or returns a set whose every ring position resolves.
+func FuzzDecodeECSet(f *testing.F) {
+	f.Add(ecSetBlob(f, 4, 2, [2]int{4, 2}, [2]int{4, 2}, [2]int{1, 2}))
+	f.Add(ecSetBlob(f, 0, 0, [2]int{1, 0}))
+	f.Add(ecSetBlob(f, 2, 2, [2]int{2, 1}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		set, err := DecodeECSet(b)
+		if err != nil {
+			return
+		}
+		for h := 0; h < set.Shards(); h++ {
+			set.HolderHashes(h)
+		}
+	})
+}

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"cruz/internal/ckpt"
+	"cruz/internal/mem"
 	"cruz/internal/sim"
 	"cruz/internal/tcpip"
 )
@@ -88,5 +90,24 @@ func TestReplicationDeltaShrinks(t *testing.T) {
 	}
 	if cl.agents[0].OpenOps() != 0 || cl.agents[1].OpenOps() != 0 {
 		t.Fatalf("leaked agent ops: %d/%d", cl.agents[0].OpenOps(), cl.agents[1].OpenOps())
+	}
+}
+
+// TestShardSetRejectsHolderOutsideSet: a data message whose ring position
+// lies outside the set it carries is refused before any shard index is
+// computed from it.
+func TestShardSetRejectsHolderOutsideSet(t *testing.T) {
+	set := &ckpt.ECSet{Pod: "p", Seq: 1, M: 2, R: 1, Chain: []int{1}, Stripes: []ckpt.ECStripe{{
+		Data:   []mem.PageHash{mem.HashBlock([]byte{1}), mem.HashBlock([]byte{2})},
+		Parity: []mem.PageHash{mem.HashBlock([]byte{3})},
+	}}}
+	blob, err := set.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for holder, ok := range map[int]bool{-1: false, 0: true, 2: true, 3: false} {
+		if _, err := shardSet(&replPayload{ECSet: blob, Holder: holder}); (err == nil) != ok {
+			t.Errorf("holder %d: err = %v, want accepted=%v", holder, err, ok)
+		}
 	}
 }

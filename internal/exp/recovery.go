@@ -90,7 +90,7 @@ func recoveryCluster(n int, scale float64, cfg RecoveryConfig, traced bool) (*cr
 	}
 	// Gate on the coordinator's holder registry, not the agents' counters:
 	// an agent counts a replication in the event that enqueues its
-	// <replicated> report, one network flight before the coordinator can
+	// <holding> report, one network flight before the coordinator can
 	// use the copy for placement — a node kill must not outrun that.
 	ok = cl.RunUntil(func() bool {
 		for _, name := range names {
