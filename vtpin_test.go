@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cruz"
+	"cruz/internal/core"
 )
 
 // The results below are virtual time and therefore a pure function of
@@ -191,6 +192,86 @@ func TestPinnedRecoveryResults(t *testing.T) {
 	} {
 		if got := pinRecover(t, c.cfg, c.dedup, c.kill...); got != c.want {
 			t.Errorf("%s recovery:\n got  %s\n want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// pinRestart renders a RestartResult's measurements.
+func pinRestart(r *cruz.RestartResult) string {
+	return fmt.Sprintf("seq=%d lat=%d cycle=%d local=%d cont=%d ovh=%d msgs=%d",
+		r.Seq, r.Latency, r.CycleLatency, r.MaxLocalRestore, r.MaxLocalContinue, r.Overhead, r.Messages)
+}
+
+// pinTreeCluster builds the 9-node wide ring under size-3 groups:
+// {0,1,2}, {3,4,5}, {6,7,8} with leaders 0, 3 and 6.
+func pinTreeCluster(t *testing.T, params core.CoordinatorParams) (*cruz.Cluster, []string, *cruz.Job) {
+	t.Helper()
+	cl, err := cruz.New(cruz.Config{Nodes: 9, GroupSize: 3, Seed: pinSeed, Coordinator: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, job := deployWideRing(t, cl, 9)
+	cl.Run(50 * cruz.Millisecond)
+	return cl, names, job
+}
+
+// pinTreeAbort starts a checkpoint, kills a node 2 ms into the 2PC and
+// renders the virtual instant and error with which the op resolves.
+func pinTreeAbort(t *testing.T, kill int) string {
+	t.Helper()
+	params := core.DefaultCoordinatorParams()
+	params.Timeout = 2 * cruz.Second
+	cl, _, job := pinTreeCluster(t, params)
+	var at cruz.Time
+	var err error
+	fired := false
+	cl.Coordinator.Checkpoint(job, cruz.CheckpointOptions{}, func(_ *cruz.CheckpointResult, cbErr error) {
+		at, err, fired = cl.Engine.Now(), cbErr, true
+	})
+	cl.Run(2 * cruz.Millisecond)
+	cl.FailNode(kill)
+	if !cl.RunUntil(func() bool { return fired }, 30*cruz.Second) {
+		t.Fatal("checkpoint never resolved after mid-2PC node kill")
+	}
+	return fmt.Sprintf("at=%d err=%v", at, err)
+}
+
+// TestPinnedTreeResults pins the two-level tree coordinator: blocking,
+// early-continue and copy-on-write checkpoints relayed through group
+// leaders, a restart relayed the same way, and the instant the root
+// aborts when a member (node 4) or a leader (node 3) dies mid-2PC.
+func TestPinnedTreeResults(t *testing.T) {
+	cl, names, job := pinTreeCluster(t, core.DefaultCoordinatorParams())
+	var got []string
+	var last int
+	for _, opts := range []cruz.CheckpointOptions{{}, {Optimized: true}, {COW: true}} {
+		r, err := cl.Checkpoint(job, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, pinCheckpoint(r))
+		last = r.Seq
+		cl.Run(50 * cruz.Millisecond)
+	}
+	for _, name := range names {
+		cl.Pod(name).Destroy()
+	}
+	rr, err := cl.Restart(job, last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, pinRestart(rr), pinTreeAbort(t, 4), pinTreeAbort(t, 3))
+	want := []string{
+		"seq=1 lat=5761589 cycle=6320813 local=5208373 cont=185000 maxblk=5760741 minblk=5340137 ovh=927440 msgs=12 bytes=623794",
+		"seq=2 lat=5580894 cycle=5645894 local=5142352 cont=258308 maxblk=5205790 minblk=4842323 ovh=245234 msgs=15 bytes=632063",
+		"seq=3 lat=5457456 cycle=5457456 local=5022352 cont=185000 maxblk=789196 minblk=789164 ovh=250104 msgs=15 bytes=632063",
+		"seq=3 lat=5155722 cycle=5714994 local=4606602 cont=185000 ovh=923392 msgs=12",
+		"at=2055000000 err=core: operation aborted: timeout after 2.000s",
+		"at=2055000000 err=core: operation aborted: timeout after 2.000s",
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("tree result %d:\n got  %s\n want %s", i, got[i], want[i])
 		}
 	}
 }
