@@ -75,15 +75,20 @@ ec-smoke:
 	$(GO) test -run 'TestErasureCodedRecovery|TestECFallbackToReplication' -v .
 	$(GO) run ./cmd/cruzsim -scenario failover -ec 4+2
 
-# Fuzz smoke: ten seconds of native fuzzing on the shard-set decoder,
-# which parses sets straight off the wire: every input must be rejected
-# or yield a set whose ring positions all resolve without a panic.
+# Fuzz smoke: ten seconds of native fuzzing on each of two decoders that
+# parse bytes straight off the wire. Every shard set must be rejected or
+# yield a set whose ring positions all resolve without a panic; every
+# adopted manifest must be rejected or leave a store whose chain walks
+# end. A one-second minimisation budget keeps the manifest target (a
+# 2 KB seed) exploring instead of shrinking its first find all run.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeECSet -fuzztime=10s ./internal/ckpt
+	$(GO) test -run='^$$' -fuzz=FuzzInstallManifest -fuzztime=10s -fuzzminimizetime=1s ./internal/ckpt
 
-# Benchmark smoke: one-second runs of the svc, slm and failover workloads
-# of the repository benchmark (cruzperf/, declared in BENCHMARK.json);
-# failover runs the erasure-coded distribute and reconstruct path.
+# Benchmark smoke: one-second runs of the four workloads of the
+# repository benchmark (cruzperf/, declared in BENCHMARK.json); failover
+# runs the erasure-coded distribute and reconstruct path, wide the
+# group-leader relay of tree coordination.
 # cruzperf exits 1 when two iterations of a seed disagree on any
 # virtual-time result (NONDETERMINISM) or an end-to-end metric has no
 # samples (MISSING).
@@ -91,6 +96,7 @@ perf-smoke:
 	bash cruzperf/run.sh --workload svc --seconds 1
 	bash cruzperf/run.sh --workload slm --seconds 1
 	bash cruzperf/run.sh --workload failover --seconds 1
+	bash cruzperf/run.sh --workload wide --seconds 1
 
 # Non-test Go lines of the program: tracked .go files without tests,
 # testdata/ fixtures or the cruzperf/ benchmark. ROADMAP aim 2 tracks it.

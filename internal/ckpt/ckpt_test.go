@@ -21,7 +21,7 @@ func init() {
 }
 
 type rig struct {
-	t       *testing.T
+	t       testing.TB
 	engine  *sim.Engine
 	sw      *ether.Switch
 	kernels []*kernel.Kernel
@@ -29,7 +29,7 @@ type rig struct {
 	store   *Store
 }
 
-func newRig(t *testing.T, nodes int) *rig {
+func newRig(t testing.TB, nodes int) *rig {
 	t.Helper()
 	r := &rig{t: t, engine: sim.NewEngine(21)}
 	r.sw = ether.NewSwitch(r.engine)

@@ -247,12 +247,17 @@ func (s *Store) Adopt(t *Transfer, done func(int64, error)) {
 // installImage registers a full transfer's images and manifests, then
 // decodes any chain link the offer skipped because this store held it
 // raw as a shard holder — every chunk it references has arrived by now.
+// Like installManifest, it refuses an incremental image whose base is
+// not older than its seq, so a chain received from a peer cannot loop.
 func (s *Store) installImage(t *Transfer) error {
 	for _, seq := range sortedSeqs(t.Blobs) {
 		blob := t.Blobs[seq]
 		img, err := DecodeImage(blob)
 		if err != nil {
 			return err
+		}
+		if img.Incremental && img.BaseSeq >= seq {
+			return fmt.Errorf("ckpt: install %s/%d: incremental image based on %d", t.Pod, seq, img.BaseSeq)
 		}
 		if s.blobs[t.Pod] == nil {
 			s.blobs[t.Pod] = make(map[int][]byte)
@@ -289,19 +294,28 @@ func (s *Store) installImage(t *Transfer) error {
 }
 
 // installManifest decodes one chain manifest and registers it, taking a
-// reference on every chunk it names.
+// reference on every chunk it names. It changes nothing unless every
+// chunk is present, and it refuses an incremental manifest whose base is
+// not older than the seq it is keyed under: every chain walk then
+// strictly descends and ends.
 func (s *Store) installManifest(pod string, seq int, blob []byte) error {
 	m, err := DecodeManifest(blob)
 	if err != nil {
 		return err
 	}
+	if m.Incremental && m.BaseSeq >= seq {
+		return fmt.Errorf("ckpt: install %s/%d: incremental manifest based on %d", pod, seq, m.BaseSeq)
+	}
 	for i := range m.Procs {
 		for _, ref := range m.Procs[i].Pages {
-			e, ok := s.chunks[ref.Hash]
-			if !ok {
+			if _, ok := s.chunks[ref.Hash]; !ok {
 				return fmt.Errorf("ckpt: install %s/%d: missing chunk %v", pod, seq, ref.Hash)
 			}
-			e.refs++
+		}
+	}
+	for i := range m.Procs {
+		for _, ref := range m.Procs[i].Pages {
+			s.chunks[ref.Hash].refs++
 			s.stats.DupChunks++
 		}
 	}
