@@ -288,6 +288,11 @@ func (a *Agent) acceptLoop() {
 // onMsg dispatches a control message.
 func (a *Agent) onMsg(c *ctlConn, m *wireMsg) {
 	a.cpu.Do(a.params.MsgCost, func() {
+		if m.Job != "" {
+			// The root addressing this node as its group's leader.
+			a.relayRequest(c, m)
+			return
+		}
 		switch m.Type {
 		case msgCheckpoint:
 			a.startCheckpoint(c, m)
@@ -323,12 +328,6 @@ func (a *Agent) onMsg(c *ctlConn, m *wireMsg) {
 			a.handleMigrateRestore(m)
 		case msgMigrateCommit:
 			a.handleMigrateCommit(c, m)
-		case msgGroupCheckpoint, msgGroupRestart:
-			a.startGroupOp(c, m)
-		case msgGroupContinue:
-			a.handleGroupContinue(m)
-		case msgGroupAbort:
-			a.handleGroupAbort(m)
 		case msgCommDisabled, msgDone, msgRestartDone, msgContinueDone, msgHolding:
 			// Protocol replies arriving at an agent are group members
 			// reporting to their leader (this node) — aggregate them.

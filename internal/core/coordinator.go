@@ -352,8 +352,12 @@ func (c *Coordinator) msgCount(job *Job) int {
 
 // beginJobOp registers a coordinated op for the job, rejecting overlap
 // with any other operation on it (including an in-flight recovery —
-// except for the restart that recovery itself drives).
-func (c *Coordinator) beginJobOp(kind string, job *Job, seq int, fromRecovery bool) (*coordOp, error) {
+// except for the restart that recovery itself drives). It plans the
+// op's aggregation tree, opens its span (under parent when set, else as
+// a new root), expects every pod in the root's wait-sets and arms the
+// timeout. The wait-sets always track every pod — under the tree the
+// leaders batch the transport, never the decision.
+func (c *Coordinator) beginJobOp(kind string, job *Job, seq int, fromRecovery bool, parent trace.SpanContext) (*coordOp, error) {
 	if !fromRecovery && c.table.Get(recoveryKey(job.Name)) != nil {
 		return nil, ErrOpInProgress
 	}
@@ -361,35 +365,43 @@ func (c *Coordinator) beginJobOp(kind string, job *Job, seq int, fromRecovery bo
 	if err != nil {
 		return nil, ErrOpInProgress
 	}
-	op := &coordOp{Op: o, job: job, msgBase: c.msgCount(job)}
+	op := &coordOp{Op: o, job: job, restart: kind == "restart", msgBase: c.msgCount(job), groups: c.planGroups(job)}
 	o.Data = op
-	// Failure fans <abort> out to every member before the finish hook
-	// reports the error. This stays a direct fan-out even under the
-	// hierarchical tree — abort is the exceptional path, and sending it
-	// point-to-point preserves the flat protocol's semantics when the
-	// failed party is a leader. Leaders additionally get <group-abort>
-	// so their relay state closes.
-	o.OnFail(func(_ *ctl.Op, err error) {
-		for _, m := range job.Members {
-			m := m
-			c.cpu.Do(c.params.MsgCost, func() {
-				if cc, cerr := c.connFor(m); cerr == nil {
-					cc.send(&wireMsg{Type: msgAbort, Seq: seq, Pod: m.Pod, ctx: op.span.Context()})
-				}
-			})
+	if c.tr.Enabled() {
+		// The op root: every agent span, phase, replication exchange, and
+		// coordinator instant of the op hangs off this context.
+		args := []trace.Arg{
+			trace.Str("job", job.Name), trace.Int("seq", int64(seq)),
+			trace.Int("members", int64(len(job.Members))),
 		}
-		for _, g := range op.groups {
-			if g.Leader < 0 {
-				continue
-			}
-			leader := job.Members[g.Leader]
-			c.cpu.Do(c.params.MsgCost, func() {
-				if cc, cerr := c.connFor(leader); cerr == nil {
-					cc.send(&wireMsg{Type: msgGroupAbort, Job: job.Name, Seq: seq, ctx: op.span.Context()})
-				}
-			})
+		if parent.Zero() {
+			op.span = c.tr.BeginOp(c.stack.Name(), "core", kind, args...)
+		} else {
+			op.span = c.tr.BeginChild(parent, c.stack.Name(), "core", kind, args...)
+		}
+	}
+	for _, m := range job.Members {
+		op.Expect("done", m.Pod)
+		if !op.restart {
+			op.Expect("disabled", m.Pod)
+		}
+		op.Expect("cont", m.Pod)
+	}
+	// Failure aborts every member directly, even under the tree: abort
+	// is the exceptional path, and sending it point-to-point keeps the
+	// flat protocol's semantics when the failed party is a leader.
+	// Leaders additionally get an <abort> for the job so their relay
+	// state closes.
+	o.OnFail(func(_ *ctl.Op, err error) {
+		abort := wireMsg{Type: msgAbort, Seq: seq, ctx: op.span.Context()}
+		c.fanOut(op, nil, abort, false)
+		if op.groups != nil {
+			c.fanOut(op, op.groups, abort, false)
 		}
 	})
+	if c.params.Timeout > 0 {
+		op.ArmTimeout(c.params.Timeout, fmt.Errorf("%w: timeout after %v", ErrAborted, c.params.Timeout))
+	}
 	return op, nil
 }
 
@@ -417,34 +429,50 @@ func (c *Coordinator) planGroups(job *Job) []coord.Group {
 	})
 }
 
-// sendGroupStart fans one <group-checkpoint>/<group-restart> per leader,
-// carrying the group's relay list. A group with no live member fails
-// the op outright — the flat fan-out would have failed on the first
-// dead member's connection the same way.
-func (c *Coordinator) sendGroupStart(op *coordOp, mk func(m Member) *wireMsg) {
+// fanOut sends a copy of m to every member (Pod set) or, with groups,
+// to every group leader (Job set), one daemon-CPU message cost each. A
+// start (checkpoint or restart) gives each leader its group's relay list
+// and fails the op on an addressee it cannot reach, as well as on a group
+// with no live member; a continue or abort skips such addressees.
+func (c *Coordinator) fanOut(op *coordOp, groups []coord.Group, m wireMsg, start bool) {
 	job := op.job
-	for _, g := range op.groups {
-		if g.Leader < 0 {
-			op.Fail(fmt.Errorf("%w: group of %s has no live member", ErrNotConnected, job.Name))
-			return
-		}
-		leader := job.Members[g.Leader]
-		members := make([]GroupMember, 0, len(g.Members))
-		for _, idx := range g.Members {
-			m := job.Members[idx]
-			members = append(members, GroupMember{Pod: m.Pod, IP: m.Agent.Addr, Port: m.Agent.Port})
-		}
+	send := func(to Member, wm *wireMsg) {
 		c.cpu.Do(c.params.MsgCost, func() {
-			cc, err := c.connFor(leader)
+			cc, err := c.connFor(to)
 			if err != nil {
-				op.Fail(err)
+				if start {
+					op.Fail(err)
+				}
 				return
 			}
-			wm := mk(leader)
-			wm.Job = job.Name
-			wm.Group = members
 			cc.send(wm)
 		})
+	}
+	if groups == nil {
+		for _, to := range job.Members {
+			wm := m
+			wm.Pod = to.Pod
+			send(to, &wm)
+		}
+		return
+	}
+	for _, g := range groups {
+		if g.Leader < 0 {
+			if start {
+				op.Fail(fmt.Errorf("%w: group of %s has no live member", ErrNotConnected, job.Name))
+				return
+			}
+			continue
+		}
+		wm := m
+		wm.Job = job.Name
+		if start {
+			for _, idx := range g.Members {
+				to := job.Members[idx]
+				wm.Group = append(wm.Group, GroupMember{Pod: to.Pod, IP: to.Agent.Addr, Port: to.Agent.Port})
+			}
+		}
+		send(job.Members[g.Leader], &wm)
 	}
 }
 
@@ -461,20 +489,13 @@ func (c *Coordinator) Checkpoint(job *Job, opts CheckpointOptions, done func(*Ch
 	}
 	c.nextSeq[job.Name] += stride
 	seq := c.nextSeq[job.Name]
-	op, err := c.beginJobOp("checkpoint", job, seq, false)
+	op, err := c.beginJobOp("checkpoint", job, seq, false, trace.SpanContext{})
 	if err != nil {
 		c.nextSeq[job.Name] -= stride
 		done(nil, err)
 		return
 	}
 	op.opts = opts
-	if c.tr.Enabled() {
-		// The op root: every agent span, phase, replication exchange, and
-		// coordinator instant of this checkpoint hangs off this context.
-		op.span = c.tr.BeginOp(c.stack.Name(), "core", "checkpoint",
-			trace.Str("job", job.Name), trace.Int("seq", int64(seq)),
-			trace.Int("members", int64(len(job.Members))))
-	}
 	op.OnFinish(func(_ *ctl.Op, err error) {
 		if err != nil {
 			op.span.End(trace.Str("err", err.Error()))
@@ -508,53 +529,20 @@ func (c *Coordinator) Checkpoint(job *Job, opts CheckpointOptions, done func(*Ch
 	})
 
 	// Step 1: send <checkpoint> to all agents (serialized daemon CPU).
-	// The root's wait-sets always track every pod — under the tree the
-	// leaders batch the transport, never the decision.
-	for _, m := range job.Members {
-		op.Expect("done", m.Pod)
-		op.Expect("disabled", m.Pod)
-		op.Expect("cont", m.Pod)
-	}
-	mkCkpt := func(m Member) *wireMsg {
-		return &wireMsg{
-			Type:                  msgCheckpoint,
-			Seq:                   seq,
-			Pod:                   m.Pod,
-			ctx:                   op.span.Context(),
-			Incremental:           opts.Incremental,
-			Optimized:             opts.Optimized,
-			COW:                   opts.COW,
-			Dedup:                 opts.Dedup,
-			Pipeline:              opts.Pipeline,
-			Replicas:              opts.Replicas,
-			PrecopyRounds:         opts.Precopy.MaxRounds,
-			PrecopyThresholdPages: opts.Precopy.DirtyThresholdPages,
-			PrecopyMinGain:        opts.Precopy.MinRoundGain,
-		}
-	}
-	if op.groups = c.planGroups(job); op.groups != nil {
-		c.sendGroupStart(op, func(leader Member) *wireMsg {
-			wm := mkCkpt(leader)
-			wm.Type = msgGroupCheckpoint
-			wm.Pod = ""
-			return wm
-		})
-	} else {
-		for _, m := range job.Members {
-			m := m
-			c.cpu.Do(c.params.MsgCost, func() {
-				cc, err := c.connFor(m)
-				if err != nil {
-					op.Fail(err)
-					return
-				}
-				cc.send(mkCkpt(m))
-			})
-		}
-	}
-	if c.params.Timeout > 0 {
-		op.ArmTimeout(c.params.Timeout, fmt.Errorf("%w: timeout after %v", ErrAborted, c.params.Timeout))
-	}
+	c.fanOut(op, op.groups, wireMsg{
+		Type:                  msgCheckpoint,
+		Seq:                   seq,
+		ctx:                   op.span.Context(),
+		Incremental:           opts.Incremental,
+		Optimized:             opts.Optimized,
+		COW:                   opts.COW,
+		Dedup:                 opts.Dedup,
+		Pipeline:              opts.Pipeline,
+		Replicas:              opts.Replicas,
+		PrecopyRounds:         opts.Precopy.MaxRounds,
+		PrecopyThresholdPages: opts.Precopy.DirtyThresholdPages,
+		PrecopyMinGain:        opts.Precopy.MinRoundGain,
+	}, true)
 }
 
 // Restart runs a coordinated restart of the job from checkpoint seq
@@ -571,22 +559,10 @@ func (c *Coordinator) runRestart(job *Job, seq int, fromRecovery bool, parent tr
 	if seq == 0 {
 		seq = c.committed[job.Name]
 	}
-	op, err := c.beginJobOp("restart", job, seq, fromRecovery)
+	op, err := c.beginJobOp("restart", job, seq, fromRecovery, parent)
 	if err != nil {
 		done(nil, err)
 		return
-	}
-	op.restart = true
-	if c.tr.Enabled() {
-		args := []trace.Arg{
-			trace.Str("job", job.Name), trace.Int("seq", int64(seq)),
-			trace.Int("members", int64(len(job.Members))),
-		}
-		if parent.Zero() {
-			op.span = c.tr.BeginOp(c.stack.Name(), "core", "restart", args...)
-		} else {
-			op.span = c.tr.BeginChild(parent, c.stack.Name(), "core", "restart", args...)
-		}
 	}
 	op.OnFinish(func(_ *ctl.Op, err error) {
 		if err != nil {
@@ -608,30 +584,7 @@ func (c *Coordinator) runRestart(job *Job, seq int, fromRecovery bool, parent tr
 		res.Overhead = res.CycleLatency - res.MaxLocalRestore - res.MaxLocalContinue
 		done(res, nil)
 	})
-	for _, m := range job.Members {
-		op.Expect("done", m.Pod)
-		op.Expect("cont", m.Pod)
-	}
-	if op.groups = c.planGroups(job); op.groups != nil {
-		c.sendGroupStart(op, func(leader Member) *wireMsg {
-			return &wireMsg{Type: msgGroupRestart, Seq: seq, ctx: op.span.Context()}
-		})
-	} else {
-		for _, m := range job.Members {
-			m := m
-			c.cpu.Do(c.params.MsgCost, func() {
-				cc, err := c.connFor(m)
-				if err != nil {
-					op.Fail(err)
-					return
-				}
-				cc.send(&wireMsg{Type: msgRestart, Seq: seq, Pod: m.Pod, ctx: op.span.Context()})
-			})
-		}
-	}
-	if c.params.Timeout > 0 {
-		op.ArmTimeout(c.params.Timeout, fmt.Errorf("%w: timeout after %v", ErrAborted, c.params.Timeout))
-	}
+	c.fanOut(op, op.groups, wireMsg{Type: msgRestart, Seq: seq, ctx: op.span.Context()}, true)
 }
 
 // opForPod locates the active coordinated operation covering a pod
@@ -676,69 +629,49 @@ func (c *Coordinator) onMsg(cc *ctlConn, m *wireMsg) {
 			c.handleMigrateSrcDone(m)
 			return
 		}
-		switch m.Type {
-		case msgGroupDisabled, msgGroupDone, msgGroupRestartDone, msgGroupContDone:
-			c.handleGroupMsg(m)
-			return
+		// A reply with Job set is a leader's batch for the job's op; one
+		// without is a single pod's, a batch of one.
+		var op *coordOp
+		reports := m.Reports
+		if m.Job != "" {
+			if o := c.table.Get(m.Job); o != nil && o.Seq == m.Seq {
+				op, _ = o.Data.(*coordOp)
+			}
+		} else {
+			op = c.opForPod(m.Pod, m.Seq)
+			reports = []GroupReport{{Pod: m.Pod, LocalDuration: m.LocalDuration, BlockedDuration: m.BlockedDuration, ImageBytes: m.ImageBytes}}
 		}
-		op := c.opForPod(m.Pod, m.Seq)
 		if op == nil {
 			return
 		}
 		if c.tr.Enabled() {
-			c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "recv."+m.Type.String(),
-				trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq)))
+			args := []trace.Arg{trace.Str("pod", m.Pod), trace.Int("seq", int64(m.Seq))}
+			if m.Job != "" {
+				args = []trace.Arg{trace.Str("job", m.Job), trace.Int("seq", int64(m.Seq)), trace.Int("batch", int64(len(m.Reports)))}
+			}
+			c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "recv."+m.Type.String(), args...)
 		}
 		if m.Err != "" {
 			op.Fail(fmt.Errorf("%w: pod %s: %s", ErrAgentFailed, m.Pod, m.Err))
 			return
 		}
-		switch m.Type {
-		case msgCommDisabled:
-			c.arriveDisabled(op, m.Pod)
-		case msgDone, msgRestartDone:
-			c.arriveDone(op, GroupReport{Pod: m.Pod, LocalDuration: m.LocalDuration, ImageBytes: m.ImageBytes})
-		case msgContinueDone:
-			c.arriveCont(op, GroupReport{Pod: m.Pod, LocalDuration: m.LocalDuration, BlockedDuration: m.BlockedDuration})
+		// Replay the batch, in the leader's (deterministic) arrival order,
+		// through the per-pod arrival logic: commit and abort decisions
+		// cannot differ between the flat and the tree transport.
+		for _, r := range reports {
+			if !op.Active() {
+				return
+			}
+			switch m.Type {
+			case msgCommDisabled:
+				c.arriveDisabled(op, r.Pod)
+			case msgDone, msgRestartDone:
+				c.arriveDone(op, r)
+			case msgContinueDone:
+				c.arriveCont(op, r)
+			}
 		}
 	})
-}
-
-// handleGroupMsg applies a leader's batched aggregate: the identical
-// per-pod arrival logic as the flat fan-out, replayed over the batch in
-// the leader's (deterministic) arrival order. Commit/abort decisions
-// therefore cannot differ between the two transports.
-func (c *Coordinator) handleGroupMsg(m *wireMsg) {
-	o := c.table.Get(m.Job)
-	if o == nil || o.Seq != m.Seq {
-		return
-	}
-	op, ok := o.Data.(*coordOp)
-	if !ok {
-		return
-	}
-	if c.tr.Enabled() {
-		c.tr.InstantCtx(op.span.Context(), c.stack.Name(), "core", "recv."+m.Type.String(),
-			trace.Str("job", m.Job), trace.Int("seq", int64(m.Seq)),
-			trace.Int("batch", int64(len(m.Reports))))
-	}
-	if m.Err != "" {
-		op.Fail(fmt.Errorf("%w: pod %s: %s", ErrAgentFailed, m.Pod, m.Err))
-		return
-	}
-	for _, r := range m.Reports {
-		if !op.Active() {
-			return
-		}
-		switch m.Type {
-		case msgGroupDisabled:
-			c.arriveDisabled(op, r.Pod)
-		case msgGroupDone, msgGroupRestartDone:
-			c.arriveDone(op, r)
-		case msgGroupContDone:
-			c.arriveCont(op, r)
-		}
-	}
 }
 
 // arriveDisabled handles one pod's <comm-disabled> vote.
@@ -798,26 +731,5 @@ func (c *Coordinator) arriveCont(op *coordOp, r GroupReport) {
 // sendContinue issues Step 3 of Fig. 2 — per leader under the tree,
 // per member flat.
 func (c *Coordinator) sendContinue(op *coordOp) {
-	if op.groups != nil {
-		for _, g := range op.groups {
-			if g.Leader < 0 {
-				continue
-			}
-			leader := op.job.Members[g.Leader]
-			c.cpu.Do(c.params.MsgCost, func() {
-				if cc, err := c.connFor(leader); err == nil {
-					cc.send(&wireMsg{Type: msgGroupContinue, Job: op.job.Name, Seq: op.Seq, ctx: op.span.Context()})
-				}
-			})
-		}
-		return
-	}
-	for _, m := range op.job.Members {
-		m := m
-		c.cpu.Do(c.params.MsgCost, func() {
-			if cc, err := c.connFor(m); err == nil {
-				cc.send(&wireMsg{Type: msgContinue, Seq: op.Seq, Pod: m.Pod, ctx: op.span.Context()})
-			}
-		})
-	}
+	c.fanOut(op, op.groups, wireMsg{Type: msgContinue, Seq: op.Seq, ctx: op.span.Context()}, false)
 }

@@ -29,7 +29,10 @@ import (
 // msgType discriminates control messages.
 type msgType int
 
-// Control message types. Names follow Fig. 2.
+// Control message types. Names follow Fig. 2. The two-level tree adds
+// none: the root reaches a group leader with the flat requests carrying
+// Job (see wireMsg.Job), and the leader answers with the flat replies
+// carrying the group's batched Reports.
 const (
 	msgCheckpoint msgType = iota + 1
 	msgCommDisabled
@@ -73,20 +76,6 @@ const (
 	msgMigrateCommit
 	msgMigrateSrcDone
 
-	// Hierarchical coordination (two-level tree): the root exchanges
-	// these with group leaders instead of per-pod messages with every
-	// member. Leaders relay the per-pod messages above to their group and
-	// batch the members' replies, so the root sees O(N/size) messages per
-	// protocol phase.
-	msgGroupCheckpoint
-	msgGroupRestart
-	msgGroupContinue
-	msgGroupAbort
-	msgGroupDisabled
-	msgGroupDone
-	msgGroupRestartDone
-	msgGroupContDone
-
 	// Migration round-0 base negotiation: before an opening full round,
 	// the source asks the destination whether it already holds the pod's
 	// replicated checkpoint chain at the source's latest sequence
@@ -123,15 +112,6 @@ var msgNames = map[msgType]string{
 	msgMigrateDone:    "migrate-done",
 	msgMigrateCommit:  "migrate-commit",
 	msgMigrateSrcDone: "migrate-src-done",
-
-	msgGroupCheckpoint:  "group-checkpoint",
-	msgGroupRestart:     "group-restart",
-	msgGroupContinue:    "group-continue",
-	msgGroupAbort:       "group-abort",
-	msgGroupDisabled:    "group-disabled",
-	msgGroupDone:        "group-done",
-	msgGroupRestartDone: "group-restart-done",
-	msgGroupContDone:    "group-cont-done",
 
 	msgMigrateBase:    "migrate-base",
 	msgMigrateBaseAck: "migrate-base-ack",
@@ -194,12 +174,12 @@ type wireMsg struct {
 	FrozeAt    sim.Time
 	RoundPages []int
 
-	// Hierarchical coordination. Job names the coordinated operation a
-	// group message belongs to (group messages address a whole group, so
-	// Pod alone cannot route them). Group is the leader's relay list on
-	// group-checkpoint/group-restart; Reports carries the batched member
-	// replies on the upward aggregates (group-disabled carries pods only,
-	// group-done adds save timings, group-cont-done adds blocked windows).
+	// Hierarchical coordination. Job routes a 2PC message: set, it is
+	// addressed to or from a group leader's relay for the job's op;
+	// unset, to or from one pod (Pod). Group is the leader's relay list
+	// on checkpoint/restart; Reports carries the members' batched
+	// replies on comm-disabled (pods only), done and restart-done (save
+	// or restore timings) and continue-done (blocked windows).
 	Job     string
 	Group   []GroupMember
 	Reports []GroupReport
@@ -234,7 +214,7 @@ func (g GroupMember) addrPort() tcpip.AddrPort {
 	return tcpip.AddrPort{Addr: g.IP, Port: g.Port}
 }
 
-// GroupReport is one member's reply inside a leader's upward aggregate.
+// GroupReport is one member's reply inside a leader's batched reply.
 type GroupReport struct {
 	Pod             string
 	LocalDuration   sim.Duration

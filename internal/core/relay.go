@@ -9,35 +9,33 @@ import (
 
 // Group-leader relay: the agent-side half of hierarchical coordination.
 //
-// Under the two-level tree the root sends one <group-checkpoint> (or
-// <group-restart>) per group to its deterministic leader. The leader
-// relays the per-pod message to every group member — its own pods
-// locally, the rest over agent-to-agent connections — and aggregates
-// the members' replies, sending one batched message upward per protocol
-// phase. The 2PC decision logic stays entirely at the root, which keeps
-// commit/abort semantics identical to the flat fan-out: the leader
-// forwards the first member error immediately, and the root's abort
-// fan-out still reaches every member directly (plus a <group-abort> per
-// leader so the relay state closes).
+// Under the two-level tree the root sends one <checkpoint> (or
+// <restart>) per group to its deterministic leader, with Job set and the
+// group's relay list. The leader relays the per-pod message to every
+// group member — its own pods locally, the rest over agent-to-agent
+// connections — and batches the members' replies, answering the root
+// with one reply of the members' own type per protocol phase. The 2PC
+// decision logic stays entirely at the root, which keeps commit/abort
+// semantics identical to the flat fan-out: the leader forwards the first
+// member error immediately, and the root's abort fan-out still reaches
+// every member directly (plus an <abort> for the job per leader so the
+// relay state closes).
 
 // relayKey is the leader's op-table key for a job's relay. The "grelay/"
 // prefix keeps it clear of pod names and replication keys.
 func relayKey(job string) string { return "grelay/" + job }
 
 // relayOp tracks one group's relay on the leader: the wait-sets mirror
-// the coordinator's ("disabled", "done", "cont" per member pod), the
-// aggregates accumulate in member-reply order (deterministic under the
-// simulation's total event order).
+// the coordinator's ("disabled", "done", "cont" per member pod), and
+// each set's batch of reports accumulates in member-reply order
+// (deterministic under the simulation's total event order).
 type relayOp struct {
 	*ctl.Op
 	job     string
 	up      msgSink // toward the root
 	members []GroupMember
 	restart bool
-
-	disabled []GroupReport // comm-disabled arrivals (pods only)
-	reports  []GroupReport // done / restart-done arrivals
-	contReps []GroupReport // continue-done arrivals
+	batches map[string][]GroupReport // by wait-set
 
 	span trace.Span
 }
@@ -86,21 +84,39 @@ func (a *Agent) relayByJob(job string, seq int) *relayOp {
 	return nil
 }
 
-// startGroupOp handles <group-checkpoint>/<group-restart>: begin the
-// relay op, open its span under the root's context, and fan the per-pod
-// message down to every member.
-func (a *Agent) startGroupOp(c *ctlConn, m *wireMsg) {
-	restart := m.Type == msgGroupRestart
-	upDone := msgGroupDone
-	if restart {
-		upDone = msgGroupRestartDone
+// relayRequest handles a root request addressed to this node as its
+// group's leader (Job set): a checkpoint or restart starts the relay, a
+// continue fans down to the group, an abort closes the relay.
+func (a *Agent) relayRequest(c *ctlConn, m *wireMsg) {
+	switch m.Type {
+	case msgCheckpoint, msgRestart:
+		a.startRelay(c, m)
+	case msgContinue:
+		if rop := a.relayByJob(m.Job, m.Seq); rop != nil {
+			for _, g := range rop.members {
+				a.relaySend(rop, g, &wireMsg{Type: msgContinue, Seq: m.Seq, Pod: g.Pod, ctx: rop.span.Context()})
+			}
+		}
+	case msgAbort:
+		// The members' own rollbacks are driven by the root's direct
+		// <abort>s; the leader only has batching state to discard.
+		if rop := a.relayByJob(m.Job, m.Seq); rop != nil {
+			rop.Fail(ErrAborted)
+		}
 	}
+}
+
+// startRelay begins the relay op for a <checkpoint>/<restart>, opens its
+// span under the root's context, and fans the per-pod message down to
+// every member.
+func (a *Agent) startRelay(c *ctlConn, m *wireMsg) {
+	restart := m.Type == msgRestart
 	o, err := a.table.Begin("grelay", relayKey(m.Job), m.Seq)
 	if err != nil {
-		c.send(&wireMsg{Type: upDone, Job: m.Job, Seq: m.Seq, Err: ErrBusy.Error(), ctx: m.ctx})
+		c.send(&wireMsg{Type: doneType(restart), Job: m.Job, Seq: m.Seq, Err: ErrBusy.Error(), ctx: m.ctx})
 		return
 	}
-	rop := &relayOp{Op: o, job: m.Job, up: c, members: m.Group, restart: restart}
+	rop := &relayOp{Op: o, job: m.Job, up: c, members: m.Group, restart: restart, batches: make(map[string][]GroupReport)}
 	o.Data = rop
 	if a.tr.Enabled() {
 		kind := "relay.checkpoint"
@@ -134,21 +150,24 @@ func (a *Agent) startGroupOp(c *ctlConn, m *wireMsg) {
 	}
 
 	// Fan down. The relayed message is the flat protocol's, verbatim,
-	// with the relay span as its context — members cannot tell a leader
-	// from the root.
-	down := msgCheckpoint
-	if restart {
-		down = msgRestart
-	}
+	// addressed to one pod and with the relay span as its context —
+	// members cannot tell a leader from the root.
 	for _, g := range m.Group {
 		mm := *m
-		mm.Type = down
 		mm.Pod = g.Pod
 		mm.Job = ""
 		mm.Group = nil
 		mm.ctx = rop.span.Context()
 		a.relaySend(rop, g, &mm)
 	}
+}
+
+// doneType is the reply type of a checkpoint's or a restart's done vote.
+func doneType(restart bool) msgType {
+	if restart {
+		return msgRestartDone
+	}
+	return msgDone
 }
 
 // relaySend delivers one relayed message to a member: leader-local pods
@@ -192,12 +211,8 @@ func (a *Agent) relayMemberFail(rop *relayOp, pod string, err error) {
 	if !rop.Active() {
 		return
 	}
-	up := msgGroupDone
-	if rop.restart {
-		up = msgGroupRestartDone
-	}
 	rop.up.send(&wireMsg{
-		Type: up, Job: rop.job, Seq: rop.Seq, Pod: pod,
+		Type: doneType(rop.restart), Job: rop.job, Seq: rop.Seq, Pod: pod,
 		Err: err.Error(), ctx: rop.span.Context(),
 	})
 	rop.Fail(fmt.Errorf("%w: pod %s: %v", ErrAgentFailed, pod, err))
@@ -228,78 +243,42 @@ func (a *Agent) relayMemberMsg(m *wireMsg) {
 		a.relayMemberFail(rop, m.Pod, fmt.Errorf("%s", m.Err))
 		return
 	}
+	// Batch the reply in its phase's wait-set. Once every member has
+	// replied, the batch goes up as one reply of the members' own type.
+	var set string
 	switch m.Type {
 	case msgCommDisabled:
+		set = "disabled"
 		if !rop.Arrive("disabled", m.Pod) {
 			return
 		}
-		rop.disabled = append(rop.disabled, GroupReport{Pod: m.Pod})
-		if rop.Cleared("disabled") {
-			rop.up.send(&wireMsg{
-				Type: msgGroupDisabled, Job: rop.job, Seq: rop.Seq,
-				Reports: rop.disabled, ctx: rop.span.Context(),
-			})
-		}
 	case msgDone, msgRestartDone:
+		set = "done"
 		if !rop.Arrive("done", m.Pod) {
 			return
 		}
-		rop.reports = append(rop.reports, GroupReport{
-			Pod:           m.Pod,
-			LocalDuration: m.LocalDuration,
-			ImageBytes:    m.ImageBytes,
-		})
-		if rop.Cleared("done") {
-			up := msgGroupDone
-			if rop.restart {
-				up = msgGroupRestartDone
-			}
-			rop.up.send(&wireMsg{
-				Type: up, Job: rop.job, Seq: rop.Seq,
-				Reports: rop.reports, ctx: rop.span.Context(),
-			})
-			if rop.Cleared("cont") {
-				rop.Finish()
-			}
-		}
 	case msgContinueDone:
+		set = "cont"
 		if !rop.Arrive("cont", m.Pod) {
 			return
 		}
-		rop.contReps = append(rop.contReps, GroupReport{
-			Pod:             m.Pod,
-			LocalDuration:   m.LocalDuration,
-			BlockedDuration: m.BlockedDuration,
-		})
-		if rop.Cleared("cont") {
-			rop.up.send(&wireMsg{
-				Type: msgGroupContDone, Job: rop.job, Seq: rop.Seq,
-				Reports: rop.contReps, ctx: rop.span.Context(),
-			})
-			if rop.Cleared("done") {
-				rop.Finish()
-			}
-		}
-	}
-}
-
-// handleGroupContinue fans the root's <continue> down to the group.
-func (a *Agent) handleGroupContinue(m *wireMsg) {
-	rop := a.relayByJob(m.Job, m.Seq)
-	if rop == nil {
+	default:
 		return
 	}
-	for _, g := range rop.members {
-		mm := &wireMsg{Type: msgContinue, Seq: m.Seq, Pod: g.Pod, ctx: rop.span.Context()}
-		a.relaySend(rop, g, mm)
+	rop.batches[set] = append(rop.batches[set], GroupReport{
+		Pod:             m.Pod,
+		LocalDuration:   m.LocalDuration,
+		BlockedDuration: m.BlockedDuration,
+		ImageBytes:      m.ImageBytes,
+	})
+	if !rop.Cleared(set) {
+		return
 	}
-}
-
-// handleGroupAbort closes the relay after the root aborted the op. The
-// members' own rollbacks are driven by the root's direct <abort>s; the
-// leader only has aggregation state to discard.
-func (a *Agent) handleGroupAbort(m *wireMsg) {
-	if rop := a.relayByJob(m.Job, m.Seq); rop != nil {
-		rop.Fail(ErrAborted)
+	rop.up.send(&wireMsg{
+		Type: m.Type, Job: rop.job, Seq: rop.Seq,
+		Reports: rop.batches[set], ctx: rop.span.Context(),
+	})
+	if rop.Cleared("done") && rop.Cleared("cont") {
+		rop.Finish()
 	}
 }
