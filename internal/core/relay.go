@@ -74,35 +74,31 @@ func (a *Agent) relayFor(pod string, seq int) *relayOp {
 	return found
 }
 
-// relayByJob finds the active relay op for a job, or nil.
-func (a *Agent) relayByJob(job string, seq int) *relayOp {
-	if o := a.table.Get(relayKey(job)); o != nil && o.Seq == seq {
-		if rop, ok := o.Data.(*relayOp); ok {
-			return rop
-		}
-	}
-	return nil
-}
-
 // relayRequest handles a root request addressed to this node as its
 // group's leader (Job set): a checkpoint or restart starts the relay, a
 // continue fans down to the group, an abort closes the relay.
 func (a *Agent) relayRequest(c *ctlConn, m *wireMsg) {
-	switch m.Type {
-	case msgCheckpoint, msgRestart:
+	if m.Type == msgCheckpoint || m.Type == msgRestart {
 		a.startRelay(c, m)
+		return
+	}
+	o := a.table.Get(relayKey(m.Job))
+	if o == nil || o.Seq != m.Seq {
+		return
+	}
+	rop, ok := o.Data.(*relayOp)
+	if !ok {
+		return
+	}
+	switch m.Type {
 	case msgContinue:
-		if rop := a.relayByJob(m.Job, m.Seq); rop != nil {
-			for _, g := range rop.members {
-				a.relaySend(rop, g, &wireMsg{Type: msgContinue, Seq: m.Seq, Pod: g.Pod, ctx: rop.span.Context()})
-			}
+		for _, g := range rop.members {
+			a.relaySend(rop, g, &wireMsg{Type: msgContinue, Seq: m.Seq, Pod: g.Pod, ctx: rop.span.Context()})
 		}
 	case msgAbort:
 		// The members' own rollbacks are driven by the root's direct
 		// <abort>s; the leader only has batching state to discard.
-		if rop := a.relayByJob(m.Job, m.Seq); rop != nil {
-			rop.Fail(ErrAborted)
-		}
+		rop.Fail(ErrAborted)
 	}
 }
 
